@@ -1,4 +1,4 @@
-"""Ablations for the two main engine design choices (DESIGN.md §6).
+"""Ablations for the two main engine design choices (docs/ARCHITECTURE.md).
 
 A1 — incremental trigger worklist vs naive re-enumeration per step:
      both compute the same chase; the incremental engine avoids

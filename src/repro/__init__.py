@@ -54,13 +54,8 @@ from repro.chase.restricted import (
     restricted_chase,
     seminaive_chase,
 )
-from repro.chase.trigger import (
-    Trigger,
-    active_triggers_on,
-    is_active,
-    seminaive_triggers,
-    triggers_on,
-)
+from repro.chase.plans import seminaive_triggers
+from repro.chase.trigger import Trigger, active_triggers_on, is_active, triggers_on
 from repro.errors import (
     ChaseInterrupted,
     CheckpointError,

@@ -30,8 +30,9 @@ module owns the fast implementations of all three:
   pending batch, applies the still-active triggers in batch order, collects
   the added atoms as the instance's tracked delta
   (:meth:`repro.core.instance.Instance.track_delta`), and runs one batched
-  discovery pass (:func:`repro.chase.trigger.seminaive_triggers`) against
-  the delta's per-round index snapshot.  Discovery results are enqueued in
+  discovery pass (:func:`repro.chase.plans.seminaive_triggers`) against
+  the delta's per-round index snapshot, through join plans compiled once
+  per engine.  Discovery results are enqueued in
   ``(birth, canonical)`` order, which replays the step-at-a-time engine's
   enqueue order exactly — round-based and step-based runs produce
   byte-identical instances, verdicts, and derivations.
@@ -47,13 +48,8 @@ from repro.core.atoms import Atom
 from repro.core.homomorphism import match_atom
 from repro.core.instance import Instance
 from repro.core.terms import Term
-from repro.chase.trigger import (
-    Trigger,
-    new_triggers,
-    satisfies_head,
-    seminaive_triggers,
-    triggers_on,
-)
+from repro.chase.plans import JoinPlans, seminaive_triggers
+from repro.chase.trigger import Trigger, new_triggers, satisfies_head, triggers_on
 from repro.obs import clock, metrics, trace
 from repro.obs.log import get_logger, log_event
 from repro.tgds.tgd import TGD
@@ -292,6 +288,8 @@ class ChaseEngine:
         #: ``self.tgds`` stays the full set: checkpoints, matcher digest
         #: checks, and null naming all key off the caller's rule list.
         self.live: Tuple[TGD, ...] = _live_subset(self.tgds, assessor, self.instance)
+        #: Compiled join plans of the live rules, reused by every round.
+        self.plans = JoinPlans(self.live)
         self.witnesses: Optional[HeadWitnessIndex] = (
             HeadWitnessIndex(self.tgds, self.instance) if track_witnesses else None
         )
@@ -338,6 +336,7 @@ class ChaseEngine:
         # reachable closure — hence the live subset — matches the fresh
         # engine's even though the restored instance has grown.
         engine.live = _live_subset(tgds, assessor, engine.instance)
+        engine.plans = JoinPlans(engine.live)
         engine.witnesses = (
             HeadWitnessIndex(tgds, engine.instance) if track_witnesses else None
         )
@@ -572,7 +571,9 @@ class ChaseEngine:
                 if self.matcher is not None:
                     batch = self.matcher.discover(self.instance, delta)
                 else:
-                    batch = seminaive_triggers(self.live, self.instance, delta)
+                    batch = seminaive_triggers(
+                        self.live, self.instance, delta, plans=self.plans
+                    )
             discovered = self._enqueue(batch, presorted=True)
             if stats is not None:
                 stats.discover_seconds += clock.perf_counter() - stamp

@@ -1,6 +1,6 @@
 """Parallel trigger discovery over a process pool.
 
-Semi-naive trigger discovery (:func:`repro.chase.trigger.seminaive_triggers`)
+Semi-naive trigger discovery (:func:`repro.chase.plans.seminaive_triggers`)
 is embarrassingly parallel: the ``(tgd, pivot)`` × delta grid decomposes
 into independent match tasks whose only shared inputs — the TGD set, the
 instance's term-position indexes, and the round's delta — are read-only for
@@ -14,23 +14,26 @@ the duration of a round.  :class:`ParallelMatcher` exploits that:
 
 * **Execution** — tasks run on a ``concurrent.futures``
   ``ProcessPoolExecutor`` built from the ``fork`` start method: the pool is
-  created *per round*, after the round's ``(tgds, instance, delta)`` triple
-  is parked in a module global, so forked workers inherit the instance and
-  its indexes by memory snapshot instead of by pickling.  Only the
-  discovered triggers travel back (they pickle via ``Trigger.__reduce__``).
+  created *per round*, after the round's ``(plans, instance, delta)``
+  triple is parked in a module global, so forked workers inherit the instance,
+  its indexes and the matcher's compiled join plans by memory snapshot
+  instead of by pickling.  Only compact ``(tgd_index, values, birth)``
+  trigger rows travel back.
   A threaded executor (shared memory, no pickling, persistent across
   rounds) is the fallback wherever ``fork`` is unavailable or the pool
   cannot start, and ``workers=1`` (or sub-threshold rounds) short-circuits
   to the serial :func:`seminaive_triggers` — all three paths produce the
   same list.
 
-* **Merging** — workers return ``(birth, trigger)`` pairs; the merge keeps
-  the *maximum* birth per :attr:`Trigger.key` (a trigger reachable through
-  several pivots surfaces, in the step engine, at the application completing
-  its body image) and sorts by ``(birth, canonical_key)``.  Because worker
-  results only ever join through this commutative max-merge and the final
-  sort is total, the merged list — and therefore the worklist order, the
-  instance, the verdict, and the derivation — is byte-identical to the
+* **Merging** — workers emit rows through the same
+  :meth:`repro.chase.plans.PivotPlan.emit` the serial pass runs; the merge
+  keeps the *maximum* birth per row (a trigger reachable through several
+  pivots surfaces, in the step engine, at the application completing its
+  body image), and the shared :func:`repro.chase.plans.materialize` builds
+  one trigger per row and sorts by ``(birth, canonical_key)``.  Because
+  worker results only ever join through this commutative max-merge and the
+  final sort is total, the merged list — and therefore the worklist order,
+  the instance, the verdict, and the derivation — is byte-identical to the
   serial semi-naive engine, regardless of pool scheduling.
 
 The second parallel tier — the deciders' *independent chases* over
@@ -48,7 +51,8 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.instance import Instance
-from repro.chase.trigger import Trigger, match_pivot_bucket, seminaive_triggers
+from repro.chase.plans import JoinPlans, materialize, merge_rows, seminaive_triggers
+from repro.chase.trigger import Trigger
 from repro.errors import ParallelDiscoveryError, ResultIntegrityError
 from repro.obs import clock, metrics, trace
 from repro.obs.log import get_logger
@@ -74,7 +78,7 @@ _POOL_ERRORS = (OSError, BrokenProcessPool)
 DEFAULT_MIN_PARALLEL_WORK = 512
 
 #: Per-round state handed to forked workers by memory inheritance:
-#: ``(tgds, instance, delta)``.  Set immediately before the round's pool is
+#: ``(plans, instance, delta)``.  Set immediately before the round's pool is
 #: created and cleared after it drains; fork snapshots it into each worker.
 #: ``_FORK_LOCK`` serializes the set-fork-drain window so two matchers
 #: discovering concurrently from different threads cannot fork each
@@ -87,64 +91,30 @@ def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _body_order(tgd: TGD, cache: Dict[TGD, tuple]) -> tuple:
-    """Body variables in name order — the wire ordering for compact rows.
-
-    ``cache`` is call-scoped (one dict per worker task / per merge), so
-    nothing outlives the round: a long-lived process analyzing many TGD
-    sets never accumulates stale entries.
-    """
-    order = cache.get(tgd)
-    if order is None:
-        order = cache[tgd] = tuple(
-            sorted(tgd.body_variables(), key=lambda v: v.name)
-        )
-    return order
-
-
-def _match_chunks(
-    tgds: Sequence[TGD], instance: Instance, delta, chunks
-) -> List[tuple]:
+def _match_chunks(plans: JoinPlans, instance: Instance, delta, chunks) -> List[tuple]:
     """Run one task's chunk specs; returns deduplicated compact rows.
 
     The worker body, shared by every backend: each chunk binds one
-    ``(tgd, pivot)`` pair to a slice of the pivot predicate's delta bucket
-    and matches through :func:`match_pivot_bucket` — the exact code the
-    serial pass runs.  Bucket slices are recomputed from the delta (chunk
+    ``(tgd, pivot)`` plan to a slice of the pivot predicate's delta bucket
+    and emits rows through :meth:`~repro.chase.plans.PivotPlan.emit` — the
+    exact code the serial pass runs.  Bucket slices are recomputed from the delta (chunk
     specs stay index-pairs, cheap to ship); per-predicate listing is cached
     across the task's chunks.
 
-    Results travel as ``(tgd_index, values, birth)`` rows, where ``values``
-    is the trigger's body binding in :func:`_body_order` — triggers are
+    Results travel as ``(tgd_index, values, birth)`` rows — triggers are
     *not* pickled whole, since a join trigger rediscovered once per pivot
     would ship once per pivot; rows dedupe worker-side and the master
-    rebuilds each unique trigger exactly once.
+    builds each unique trigger exactly once.
     """
-    births: Dict[tuple, int] = {}
-    found: Dict[tuple, Trigger] = {}
+    rows: Dict[tuple, int] = {}
     buckets: Dict[str, list] = {}
     for tgd_index, pivot_index, lo, hi in chunks:
-        tgd = tgds[tgd_index]
-        predicate = tgd.body[pivot_index].predicate
-        bucket = buckets.get(predicate)
+        plan = plans.by_tgd[tgd_index][pivot_index]
+        bucket = buckets.get(plan.predicate)
         if bucket is None:
-            bucket = buckets[predicate] = list(delta.with_predicate(predicate))
-        match_pivot_bucket(
-            tgd, pivot_index, bucket[lo:hi], delta, instance, births, found
-        )
-    # First-wins index map: TGD equality ignores the name, but null naming
-    # (digest_prefix) includes it, so duplicate-equal rules under different
-    # names must all resolve to the first index — exactly the trigger the
-    # serial pass's first-wins dedup keeps.
-    tgd_indexes: Dict[TGD, int] = {}
-    for index, tgd in enumerate(tgds):
-        tgd_indexes.setdefault(tgd, index)
-    orders: Dict[TGD, tuple] = {}
-    rows = []
-    for key, trigger in found.items():
-        values = tuple(trigger.h[v] for v in _body_order(trigger.tgd, orders))
-        rows.append((tgd_indexes[trigger.tgd], values, births[key]))
-    return rows
+            bucket = buckets[plan.predicate] = list(delta.with_predicate(plan.predicate))
+        plan.emit(bucket[lo:hi], delta, instance, rows)
+    return [(tgd_index, values, birth) for (tgd_index, values), birth in rows.items()]
 
 
 def _discover_task(chunks) -> tuple:
@@ -154,9 +124,9 @@ def _discover_task(chunks) -> tuple:
     matching work so the master can report busy-vs-wall pool efficiency
     without any extra round trips.
     """
-    tgds, instance, delta = _FORK_STATE
+    plans, instance, delta = _FORK_STATE
     start = clock.perf_counter()
-    rows = _match_chunks(tgds, instance, delta, chunks)
+    rows = _match_chunks(plans, instance, delta, chunks)
     return rows, clock.perf_counter() - start
 
 
@@ -186,13 +156,12 @@ def _validate_rows(tgds: Sequence[TGD], rows) -> None:
     run (or a genuinely corrupted pipe) can hand the master garbage, and a
     bad row would silently poison the ``(birth, canonical_key)`` merge.
     Shape-checks every row: ``(tgd_index, values, birth)`` with a valid TGD
-    index and the binding arity that TGD's :func:`_body_order` demands.
+    index and one value per body variable of that TGD.
     """
     if not isinstance(rows, list):
         raise ResultIntegrityError(
             f"worker returned {type(rows).__name__}, expected a row list"
         )
-    orders: Dict[TGD, tuple] = {}
     for row in rows:
         if not (isinstance(row, tuple) and len(row) == 3):
             raise ResultIntegrityError(f"malformed worker row {row!r}")
@@ -202,7 +171,7 @@ def _validate_rows(tgds: Sequence[TGD], rows) -> None:
         if not isinstance(birth, int):
             raise ResultIntegrityError(f"worker row has bad birth {birth!r}")
         if not isinstance(values, tuple) or len(values) != len(
-            _body_order(tgds[tgd_index], orders)
+            tgds[tgd_index].body_variables()
         ):
             raise ResultIntegrityError(
                 f"worker row binding {values!r} does not match the body "
@@ -250,6 +219,8 @@ class ParallelMatcher:
         if backend not in ("process", "thread", "serial"):
             raise ValueError(f"unknown parallel backend {backend!r}")
         self.tgds: Tuple[TGD, ...] = tuple(tgds)
+        #: Compiled join plans, shared with the workers of every round.
+        self.plans = JoinPlans(self.tgds)
         self.workers = max(1, int(workers))
         if self.workers == 1:
             backend = "serial"
@@ -348,7 +319,7 @@ class ParallelMatcher:
         global _FORK_STATE
         context = multiprocessing.get_context("fork")
         with _FORK_LOCK:
-            _FORK_STATE = (self.tgds, instance, delta)
+            _FORK_STATE = (self.plans, instance, delta)
             try:
                 return self._drain_process(context, tasks)
             finally:
@@ -432,7 +403,7 @@ class ParallelMatcher:
 
         def run(chunks):
             start = clock.perf_counter()
-            rows = _match_chunks(self.tgds, instance, delta, chunks)
+            rows = _match_chunks(self.plans, instance, delta, chunks)
             return rows, clock.perf_counter() - start
 
         payloads = list(self._thread_pool.map(run, tasks))
@@ -452,7 +423,7 @@ class ParallelMatcher:
             return []
         if self.backend == "serial":
             self.rounds_serial += 1
-            return seminaive_triggers(self.tgds, instance, delta)
+            return seminaive_triggers(self.tgds, instance, delta, self.plans)
         with trace.span("round.plan"):
             tasks, total = self._plan(delta)
         if not tasks:
@@ -460,7 +431,7 @@ class ParallelMatcher:
             return []
         if total < self.min_parallel_work or len(tasks) < 2:
             self.rounds_serial += 1
-            return seminaive_triggers(self.tgds, instance, delta)
+            return seminaive_triggers(self.tgds, instance, delta, self.plans)
         results: Optional[List[list]] = None
         pool_start = clock.perf_counter()
         with trace.span("round.exec", tasks=len(tasks), work=total):
@@ -498,34 +469,9 @@ class ParallelMatcher:
             metrics.counter("chase.pool.rounds")
         merge_start = clock.perf_counter()
         with trace.span("round.merge", tasks=len(results)):
-            merged = _merge(self.tgds, results)
+            merged = materialize(self.plans, merge_rows(results))
         self.merge_seconds += clock.perf_counter() - merge_start
         return merged
-
-
-def _merge(tgds: Sequence[TGD], results: List[list]) -> List[Trigger]:
-    """Max-merge per-task rows; rebuild triggers; sort like the serial pass.
-
-    The max over per-row births is commutative and associative, and the
-    final ``(birth, canonical_key)`` sort is total, so the merged list is
-    independent of task scheduling — and equal to the serial pass, which
-    computes the same maxima pivot by pivot.
-    """
-    births: Dict[tuple, int] = {}
-    for rows in results:
-        for tgd_index, values, birth in rows:
-            key = (tgd_index, values)
-            previous = births.get(key)
-            if previous is None or birth > previous:
-                births[key] = birth
-    orders: Dict[TGD, tuple] = {}
-    merged = []
-    for (tgd_index, values), birth in births.items():
-        tgd = tgds[tgd_index]
-        trigger = Trigger(tgd, dict(zip(_body_order(tgd, orders), values)))
-        merged.append((birth, trigger))
-    merged.sort(key=lambda row: (row[0], row[1].canonical_key))
-    return [trigger for _, trigger in merged]
 
 
 def parallel_map(fn, payloads, workers: int = 1, backend: str = "process") -> list:

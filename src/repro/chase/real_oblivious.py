@@ -26,7 +26,8 @@ from repro.core.atoms import Atom
 from repro.core.instance import Instance
 from repro.core.terms import Term
 from repro.chase.checkpoint import Budget
-from repro.chase.trigger import Trigger, new_triggers, seminaive_triggers, triggers_on
+from repro.chase.plans import JoinPlans, seminaive_triggers
+from repro.chase.trigger import Trigger, new_triggers, triggers_on
 from repro.errors import ChaseInterrupted
 from repro.tgds.guardedness import guard_of
 from repro.tgds.tgd import TGD
@@ -132,6 +133,7 @@ class RealObliviousChase:
         # frontier instead of scanning the full trigger history.
         triggers: Dict[tuple, Tuple[int, Trigger, List[Atom]]] = {}
         triggers_by_image_atom: Dict[Atom, List[tuple]] = {}
+        plans = JoinPlans(self.tgds)
         atom_index.track_delta()
 
         def add_node(
@@ -153,7 +155,7 @@ class RealObliviousChase:
             if first_round:
                 found = triggers_on(self.tgds, atom_index)
             elif delta and self.strategy == "semi_naive":
-                found = seminaive_triggers(self.tgds, atom_index, delta)
+                found = seminaive_triggers(self.tgds, atom_index, delta, plans)
             elif delta:
                 found = new_triggers(self.tgds, atom_index, delta.atoms())
             else:

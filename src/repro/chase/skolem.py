@@ -19,12 +19,11 @@ is unique and byte-identical regardless of application order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Set
 
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
 from repro.core.terms import Null, Term, Variable
-from repro.chase.trigger import Trigger
 from repro.core.homomorphism import homomorphisms
 from repro.tgds.tgd import TGD
 
@@ -48,11 +47,15 @@ class SkolemTerm(Null):
         rendered = f"{function}({','.join(t.name for t in args)})"
         # Bypass __setattr__ (this class is immutable, unlike plain Null).
         object.__setattr__(self, "name", rendered)
+        object.__setattr__(self, "_hash", hash((self._KIND_RANK, rendered)))
         object.__setattr__(self, "function", function)
         object.__setattr__(self, "args", args)
 
     def __setattr__(self, name, value):
         raise AttributeError("SkolemTerm is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.function, self.args))
 
     def depth(self) -> int:
         """Nesting depth of the term tree (constants have depth 0)."""

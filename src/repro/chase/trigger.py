@@ -42,19 +42,19 @@ class Trigger:
     __slots__ = ("tgd", "h", "_result", "_key", "_frontier_binding", "_canonical")
 
     def __init__(self, tgd: TGD, h):
-        mapping = {}
-        missing = []
-        for variable in tgd.body_variables():
-            try:
-                mapping[variable] = h[variable]
-            except KeyError:
-                missing.append(variable)
-        if missing:
-            raise ValueError(f"homomorphism misses body variables {missing}")
+        order = tgd.body_order
+        try:
+            values = [h[variable] for variable in order]
+        except KeyError:
+            missing = [variable for variable in order if variable not in h]
+            raise ValueError(f"homomorphism misses body variables {missing}") from None
+        mapping = dict(zip(order, values))
         object.__setattr__(self, "tgd", tgd)
         object.__setattr__(self, "h", Substitution(mapping))
         object.__setattr__(self, "_result", None)
-        object.__setattr__(self, "_key", (tgd, self.h.canonical_items()))
+        # Body variables in name order are the substitution's canonical
+        # order (``Substitution.canonical_items``) — no sort needed.
+        object.__setattr__(self, "_key", (tgd, tuple(zip(order, values))))
         object.__setattr__(
             self,
             "_frontier_binding",
@@ -220,90 +220,3 @@ def new_triggers(
                     if trigger.key not in seen:
                         seen.add(trigger.key)
                         yield trigger
-
-
-def match_pivot_bucket(
-    tgd: TGD,
-    pivot_index: int,
-    bucket,
-    delta,
-    instance: Instance,
-    births: Dict[tuple, int],
-    found: Dict[tuple, Trigger],
-) -> None:
-    """Match one ``(tgd, pivot)`` pair against a slice of the round's delta.
-
-    The inner loop of semi-naive discovery, shared verbatim by the serial
-    pass (:func:`seminaive_triggers`) and the parallel workers of
-    :mod:`repro.chase.parallel` — one code path is what makes the
-    serial-vs-parallel equivalence an accounting argument rather than a
-    re-proof.  ``bucket`` is any iterable of delta atoms under the pivot's
-    predicate (the whole per-predicate bucket, or a chunk of it); results
-    accumulate into ``births``/``found`` keyed by :attr:`Trigger.key`, with
-    ``births`` keeping the *maximum* delta position over every pivot hit.
-    """
-    pivot = tgd.body[pivot_index]
-    rest = [a for i, a in enumerate(tgd.body) if i != pivot_index]
-    for pivot_atom in bucket:
-        base = match_atom(pivot, pivot_atom)
-        if base is None:
-            continue
-        birth = delta.position(pivot_atom)
-        if rest:
-            matches = homomorphisms(rest, instance, partial=base)
-        else:
-            # Single-atom body: the pivot binding is the whole
-            # homomorphism — skip the join machinery.
-            matches = (base,)
-        for h in matches:
-            trigger = Trigger(tgd, h)
-            key = trigger.key
-            previous = births.get(key)
-            if previous is None:
-                found[key] = trigger
-                births[key] = birth
-            elif birth > previous:
-                births[key] = birth
-
-
-def seminaive_triggers(
-    tgds: Iterable[TGD], instance: Instance, delta
-) -> List[Trigger]:
-    """Set-at-a-time trigger discovery against a round delta.
-
-    The batched counterpart of per-atom :func:`new_triggers`: ``delta`` is a
-    :class:`repro.core.instance.Delta` (the atoms one round added, already
-    committed to ``instance``).  Each TGD body is rewritten semi-naively —
-    one body atom (the pivot) is bound to a delta atom through the delta's
-    per-predicate snapshot, the rest match against the full term-position
-    indexes — so a round pays one pass over ``tgds × pivots`` with empty
-    predicate buckets skipped wholesale, instead of one full pass per added
-    atom.
-
-    The returned list is ordered by ``(birth, canonical_key)`` where
-    ``birth`` is the delta position of the *latest* body-image atom drawn
-    from the delta.  That is exactly the order in which the step-at-a-time
-    engine enqueues the same triggers (a trigger surfaces at the application
-    that completes its body image, and each per-application batch is
-    canonically sorted), which is what keeps round-based runs byte-identical
-    to step-at-a-time runs.
-
-    :class:`repro.chase.parallel.ParallelMatcher` computes the same list by
-    fanning the ``(tgd, pivot)`` × delta-chunk grid over a worker pool and
-    max-merging the per-chunk ``births``.
-    """
-    if not delta:
-        return []
-    births: Dict[tuple, int] = {}
-    found: Dict[tuple, Trigger] = {}
-    for tgd in tgds:
-        for pivot_index, pivot in enumerate(tgd.body):
-            bucket = delta.with_predicate(pivot.predicate)
-            if not bucket:
-                continue
-            match_pivot_bucket(
-                tgd, pivot_index, bucket, delta, instance, births, found
-            )
-    return sorted(
-        found.values(), key=lambda t: (births[t.key], t.canonical_key)
-    )

@@ -36,9 +36,9 @@ from repro.chase.trigger import (
     Trigger,
     is_active,
     new_triggers,
-    seminaive_triggers,
     triggers_on,
 )
+from repro.chase.plans import JoinPlans, seminaive_triggers
 from repro.core.homomorphism import is_homomorphism
 from repro.tgds.guardedness import guard_of
 from repro.tgds.tgd import TGD
@@ -98,7 +98,7 @@ class WeaklyRestrictedChase:
 
         ``strategy`` selects the per-round trigger discovery:
         ``"semi_naive"`` (default) matches bodies against the round's delta
-        snapshot (:func:`seminaive_triggers`); ``"per_atom"`` is the
+        snapshot (:func:`repro.chase.plans.seminaive_triggers`); ``"per_atom"`` is the
         pre-batching pass (:func:`new_triggers`).  Both discover the same
         trigger set — active-trigger selection sorts canonically either
         way, so runs are identical."""
@@ -106,6 +106,7 @@ class WeaklyRestrictedChase:
             raise ValueError(f"unknown discovery strategy {strategy!r}")
         self.strategy = strategy
         self.tgds = tuple(tgds)
+        self._plans = JoinPlans(self.tgds)
         self.occurrences: List[WROccurrence] = []
         self._applied: Set[tuple] = set()
         self._atom_view = Instance()
@@ -210,7 +211,7 @@ class WeaklyRestrictedChase:
         if delta:
             if self.strategy == "semi_naive":
                 found: Iterable[Trigger] = seminaive_triggers(
-                    self.tgds, self._atom_view, delta
+                    self.tgds, self._atom_view, delta, self._plans
                 )
             else:
                 found = new_triggers(self.tgds, self._atom_view, delta.atoms())

@@ -24,7 +24,7 @@ re-scores (and prunes) the rest of the body.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
@@ -191,11 +191,6 @@ def has_homomorphism(
     return find_homomorphism(source, target, partial, frozen) is not None
 
 
-def apply_homomorphism(h: Dict[Term, Term], atoms: Iterable[Atom]) -> List[Atom]:
-    """Apply a binding dict to a collection of atoms."""
-    return [atom.apply(h) for atom in atoms]
-
-
 def is_homomorphism(h: Dict[Term, Term], source: Iterable[Atom], target) -> bool:
     """Check conditions (i) and (ii) of the definition for a given map."""
     if any(isinstance(s, Constant) and s != t for s, t in h.items()):
@@ -238,11 +233,3 @@ def are_isomorphic(left: Iterable[Atom], right: Iterable[Atom]) -> bool:
             return True
     return False
 
-
-def endomorphism_onto(source: Instance, subset: Set[Atom]) -> Optional[Dict[Term, Term]]:
-    """A homomorphism from ``source`` into ``subset`` of itself, if any.
-
-    Utility for core computations / redundancy checks (used when studying
-    how much smaller restricted-chase results are than oblivious ones).
-    """
-    return find_homomorphism(source.atoms(), Instance(subset))

@@ -23,7 +23,7 @@ class Term:
     kind and the same name.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     #: Rank used for the total order between term kinds.
     _KIND_RANK = -1
@@ -32,6 +32,12 @@ class Term:
         if not isinstance(name, str) or not name:
             raise ValueError(f"term name must be a non-empty string, got {name!r}")
         self.name = name
+        self._hash = hash((self._KIND_RANK, name))
+
+    def __reduce__(self):
+        # Rebuild through __init__: the cached hash is only valid under the
+        # string-hash seed of the process that computed it.
+        return (type(self), (self.name,))
 
     def sort_key(self) -> tuple:
         """Key realizing the total order on terms (kind rank, then name)."""
@@ -44,7 +50,7 @@ class Term:
         return not self.__eq__(other)
 
     def __hash__(self) -> int:
-        return hash((self._KIND_RANK, self.name))
+        return self._hash
 
     def __lt__(self, other: "Term") -> bool:
         if not isinstance(other, Term):

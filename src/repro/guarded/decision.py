@@ -2,8 +2,9 @@
 
 The paper reduces the guarded case to MSOL satisfiability over infinite
 trees; a practical MSOL-over-infinite-trees solver does not exist, so this
-module implements the documented substitution (DESIGN.md §3): a certifying
-procedure over exactly the objects the reduction quantifies over.
+module implements the documented substitution (docs/TERMINATION.md,
+"Stage 4 — the deciders"): a certifying procedure over exactly the objects
+the reduction quantifies over.
 
 Termination side (all answers sound):
 
@@ -33,9 +34,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.atoms import Atom
 from repro.core.instance import Database, Instance
-from repro.core.terms import Constant, Term, Variable
+from repro.core.terms import Constant, Term
 from repro.chase.checkpoint import Budget
 from repro.chase.derivation import Derivation, DerivationError
 from repro.chase.restricted import restricted_chase
@@ -416,7 +416,7 @@ def decide_guarded(
     stats=None,
     backend=None,
 ) -> Verdict:
-    """The certifying decision procedure for guarded sets (DESIGN.md §3).
+    """The certifying decision procedure for guarded sets (see the module docstring).
 
     ``max_steps`` bounds the divergence-suspect runs; ``extra_candidates``
     adds user-supplied databases to the witness search (e.g. treeified

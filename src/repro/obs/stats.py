@@ -343,6 +343,9 @@ BENCH_STATS_FIELDS = (
     "worker_busy_seconds",
     "parallel_wall_seconds",
     "parallel_efficiency",
+    "apply_seconds",
+    "discover_seconds",
+    "merge_seconds",
 )
 
 

@@ -4,7 +4,8 @@ Every decision procedure in this library is *certifying*: a verdict carries
 an artefact that can be re-checked independently (a syntactic certificate
 name, a witness database plus a validated derivation, or an automaton
 lasso).  ``UNKNOWN`` is an honest answer when neither side was established
-within the configured bounds (see DESIGN.md §3 on the MSOL substitution).
+within the configured bounds (see docs/TERMINATION.md, "Stage 4 — the
+deciders", on the MSOL substitution).
 
 Verdicts are plain, picklable data, and every producer in this package is
 deterministic: the same TGD set (and budget) yields the same verdict —

@@ -32,6 +32,8 @@ class TGD:
         "body",
         "head",
         "name",
+        "_body_variables",
+        "_body_order",
         "_frontier",
         "_frontier_order",
         "_existential",
@@ -54,6 +56,10 @@ class TGD:
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "name", name or self._default_name(body, head))
+        object.__setattr__(self, "_body_variables", frozenset(body_vars))
+        object.__setattr__(
+            self, "_body_order", tuple(sorted(body_vars, key=lambda v: v.name))
+        )
         object.__setattr__(self, "_frontier", frontier)
         object.__setattr__(
             self, "_frontier_order", tuple(sorted(frontier, key=lambda v: v.name))
@@ -118,8 +124,18 @@ class TGD:
             object.__setattr__(self, "_digest_prefix", cached)
         return cached
 
-    def body_variables(self) -> Set[Variable]:
-        return {v for atom in self.body for v in atom.variables()}
+    def body_variables(self) -> FrozenSet[Variable]:
+        """The variables of the body, cached (every trigger build reads them)."""
+        return self._body_variables
+
+    @property
+    def body_order(self) -> Tuple[Variable, ...]:
+        """The body variables in canonical (name) order.
+
+        Trigger keys and the compact trigger rows of semi-naive discovery
+        list body bindings in this order.
+        """
+        return self._body_order
 
     def head_variables(self) -> Set[Variable]:
         return set(self.head.variables())

@@ -24,7 +24,7 @@ from repro.chase.chaos import ChaosMatcher, ChaosPolicy, build_matcher
 from repro.chase.engine import ChaseEngine
 from repro.chase.parallel import ParallelMatcher, _validate_rows
 from repro.chase.restricted import restricted_chase, seminaive_chase
-from repro.chase.trigger import seminaive_triggers
+from repro.chase.plans import JoinPlans, seminaive_triggers
 from repro.errors import ParallelDiscoveryError, ResultIntegrityError
 from repro.tgds.tgd import parse_tgds
 
@@ -109,9 +109,11 @@ class TestRowValidation:
 
     def test_accepts_genuine_rows(self):
         engine, delta = materialize_round(ring_database(4), JOIN_TGDS)
+        joins = len(delta.with_predicate("F"))
         rows = parallel._match_chunks(
-            JOIN_TGDS, engine.instance, delta, [(0, 0, 0, len(delta))]
+            JoinPlans(JOIN_TGDS), engine.instance, delta, [(1, 0, 0, joins)]
         )
+        assert rows
         _validate_rows(JOIN_TGDS, rows)  # must not raise
 
 

@@ -28,7 +28,8 @@ from repro.core.terms import Constant, Variable
 from repro.chase.engine import ChaseEngine
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase
-from repro.chase.trigger import Trigger, seminaive_triggers
+from repro.chase.plans import seminaive_triggers
+from repro.chase.trigger import Trigger
 from repro.chase import parallel
 from repro.chase.parallel import ParallelMatcher, parallel_map
 from repro.guarded.decision import candidate_databases, decide_guarded

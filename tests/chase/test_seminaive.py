@@ -25,7 +25,8 @@ from repro.chase.multihead import (
 )
 from repro.chase.oblivious import oblivious_chase, satisfies_all
 from repro.chase.restricted import restricted_chase, seminaive_chase
-from repro.chase.trigger import new_triggers, seminaive_triggers
+from repro.chase.plans import seminaive_triggers
+from repro.chase.trigger import new_triggers
 from repro.chase.weakly_restricted import WeaklyRestrictedChase, extract_derivation
 from repro.guarded.decision import candidate_databases
 from repro.tgds.generators import GeneratorProfile, corpus

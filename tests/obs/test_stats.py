@@ -122,6 +122,16 @@ class TestRendering:
         assert row["max_delta"] == 3
         assert row["mean_delta"] == 2.0
 
+    def test_bench_row_carries_the_discover_apply_split(self):
+        stats = ChaseStats()
+        stats.apply_seconds = 0.25
+        stats.discover_seconds = 0.5
+        stats.merge_seconds = 0.125
+        row = bench_stats_row(stats)
+        assert row["apply_seconds"] == 0.25
+        assert row["discover_seconds"] == 0.5
+        assert row["merge_seconds"] == 0.125
+
     def test_bench_row_of_empty_run(self):
         row = bench_stats_row(ChaseStats())
         assert row["max_delta"] == 0
