@@ -34,14 +34,16 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # The fault-injection suite: the chaos harness's own tests, then the
-# parallel-equivalence and checkpoint property suites with every
-# pool-backed chase routed through ChaosMatcher (CHASE_CHAOS_SEED set).
-# Results must stay byte-identical to serial runs despite injected worker
-# kills, delays, and corrupted results; see docs/CI.md.
+# parallel-equivalence, checkpoint and round-driver agreement suites with
+# every pool-backed chase and session routed through ChaosMatcher
+# (CHASE_CHAOS_SEED set).  Results must stay byte-identical to serial runs
+# despite injected worker kills, delays, and corrupted results; see
+# docs/CI.md.
 test-chaos:
 	$(PYTHON) -m pytest tests/chase/test_chaos.py -x -q
 	CHASE_CHAOS_SEED=$(CHAOS_SEED) $(PYTHON) -m pytest \
-		tests/chase/test_parallel.py tests/chase/test_checkpoint.py -x -q
+		tests/chase/test_parallel.py tests/chase/test_checkpoint.py \
+		tests/chase/test_driver.py -x -q
 
 # Ruff (config in pyproject.toml).  The offline dev container does not ship
 # ruff; skip with a note there instead of failing — CI installs it and gets

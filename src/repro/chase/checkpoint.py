@@ -229,8 +229,10 @@ class ChaseCheckpoint:
         #: Applied triggers so far, in order (the derivation log prefix).
         self.derivation_steps = derivation_steps
         self.steps = steps
-        #: Completed rounds (an interrupted round is *not* counted; its
-        #: completion on resume charges it exactly once).
+        #: Rounds in the loop's own convention: completed rounds for the
+        #: restricted chase, started rounds (a round cut part-way
+        #: included) for oblivious runs and sessions.  Either way a round
+        #: split by the cut is charged exactly once.
         self.rounds = rounds
         self.applications = applications
         self.track_witnesses = track_witnesses

@@ -543,9 +543,10 @@ class ChaseEngine:
             for trigger in applied:
                 stats.record_fired(trigger)
         if cut:
-            # The *entry-point loop* records the cut into stats (it may turn
-            # a cut into an interrupt, a max-steps return, or a retry; only
-            # it knows which) — here the round just reports it.
+            # The round driver's caller records the cut into stats (its cut
+            # policy may turn a cut into an interrupt, a max-steps return,
+            # or a suspended session; only it knows which) — here the round
+            # just reports it.
             trace.instant("round.cut", reason=reason)
             if metrics.ENABLED:
                 metrics.counter("chase.round.cuts")

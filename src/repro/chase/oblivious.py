@@ -21,41 +21,13 @@ from typing import Optional, Sequence
 
 from repro.core.instance import Instance
 from repro.chase.checkpoint import Budget, ChaseCheckpoint
-from repro.chase.engine import ChaseEngine, build_assessor
-from repro.errors import ChaseInterrupted
-from repro.obs import clock, trace
+from repro.chase.driver import CEILINGS, OBLIVIOUS, ChaseResult, ChaseRun
 from repro.tgds.tgd import TGD
 
 
-class ObliviousResult:
-    """Outcome of an oblivious chase run."""
-
-    def __init__(
-        self,
-        instance: Instance,
-        terminated: bool,
-        rounds: int,
-        applications: int,
-        stats=None,
-    ):
-        #: The fixpoint (or cut-off) instance.
-        self.instance = instance
-        #: True iff a fixpoint was reached within the bounds.
-        self.terminated = terminated
-        #: Number of saturation rounds performed.
-        self.rounds = rounds
-        #: Number of trigger applications (counting only atom-producing ones).
-        self.applications = applications
-        #: The caller's :class:`repro.obs.stats.ChaseStats` sink, echoed
-        #: back filled (None when the run carried no telemetry).
-        self.stats = stats
-
-    def __repr__(self) -> str:
-        state = "terminated" if self.terminated else "cut off"
-        return (
-            f"ObliviousResult({state} after {self.rounds} rounds, "
-            f"{len(self.instance)} atoms)"
-        )
+#: The oblivious chase's result class — the restricted chase's
+#: :class:`ChaseResult` (``derivation`` None, ``applications`` the count).
+ObliviousResult = ChaseResult
 
 
 def oblivious_chase(
@@ -71,7 +43,7 @@ def oblivious_chase(
     stats=None,
     prune: bool = True,
     backend=None,
-) -> ObliviousResult:
+) -> ChaseResult:
     """Compute the oblivious chase ``I_{D,T}`` up to the given bounds.
 
     Applies every trigger (active or not); set semantics deduplicates
@@ -81,8 +53,9 @@ def oblivious_chase(
     ``strategy`` selects how a round is evaluated — the fixpoint is
     order-independent, so both produce identical results round for round:
 
-    * ``"semi_naive"`` (default) — :meth:`ChaseEngine.run_round`: one
-      batched discovery pass per round against the round's delta; with
+    * ``"semi_naive"`` (default) — the round driver
+      (:class:`repro.chase.driver.ChaseRun`) on :meth:`ChaseEngine.run_round`:
+      one batched discovery pass per round against the round's delta; with
       ``workers > 1`` that pass fans out over a
       :class:`repro.chase.parallel.ParallelMatcher` pool (byte-identical
       rounds — the merge replays the serial order);
@@ -92,6 +65,9 @@ def oblivious_chase(
     ``budget`` exhaustion raises :class:`repro.errors.ChaseInterrupted`
     with a resume checkpoint; ``resume`` continues one byte-identically
     (``database`` is then ignored).  Both require ``"semi_naive"``.
+    Hitting ``max_rounds`` or ``max_atoms`` returns ``terminated=False``.
+    The result is a :class:`ChaseResult` whose ``rounds`` counts started
+    rounds and ``applications`` the atom-producing applications.
 
     ``backend`` selects the instance storage backend (see
     :func:`repro.backends.make_instance`); the fixpoint is byte-identical
@@ -101,103 +77,42 @@ def oblivious_chase(
         raise ValueError(
             "budgets and resume require the semi_naive oblivious strategy"
         )
-    matcher = None
-    if strategy == "semi_naive" and workers > 1:
-        from repro.chase.chaos import build_matcher
-
-        matcher = build_matcher(tgds, workers=workers, backend=parallel_backend)
-    if stats is not None and not stats.kind:
-        stats.kind = "oblivious"
-    assessor = build_assessor(tgds) if prune else None
-    if resume is not None:
-        resume.require_kind("oblivious")
-        engine = resume.restore_engine(
-            tgds, matcher=matcher, stats=stats, assessor=assessor, backend=backend
-        )
-        applications = resume.applications
-        rounds = resume.rounds
-    else:
-        engine = ChaseEngine(
-            database,
-            tgds,
-            track_witnesses=False,
-            matcher=matcher,
-            stats=stats,
-            assessor=assessor,
-            backend=backend,
-        )
-        applications = 0
-        rounds = 0
-    if budget is not None:
-        budget.start()
-    if strategy == "semi_naive":
-
-        def interrupt(reason: str):
-            if stats is not None:
-                stats.record_cut(reason)
-            raise ChaseInterrupted(
-                reason,
-                checkpoint=ChaseCheckpoint.capture(
-                    engine, "oblivious", rounds=rounds, applications=applications
-                ),
-                instance=engine.instance,
-                partial={"rounds": rounds, "applications": applications},
-            )
-
-        run_start = clock.perf_counter() if stats is not None else 0.0
-        try:
-            with trace.span("chase.run", kind="oblivious"):
-                while engine.pending or engine.mid_round():
-                    if rounds >= max_rounds or len(engine.instance) > max_atoms:
-                        return ObliviousResult(
-                            engine.instance, False, rounds, applications, stats=stats
-                        )
-                    if budget is not None:
-                        if budget.rounds_exhausted():
-                            interrupt("budget:rounds")
-                        reason = budget.exceeded(len(engine.instance))
-                        if reason is not None:
-                            interrupt(reason)
-                    if not engine.mid_round():
-                        # A resumed mid-round continuation was already counted
-                        # by the call that started the round.
-                        rounds += 1
-                    round_result = engine.run_round(max_atoms=max_atoms, budget=budget)
-                    applications += len(round_result.delta)
-                    if round_result.cut:
-                        if round_result.reason == "max_atoms":
-                            return ObliviousResult(
-                                engine.instance, False, rounds, applications, stats=stats
-                            )
-                        interrupt(round_result.reason)
-                    if budget is not None:
-                        budget.charge_round()
-            return ObliviousResult(engine.instance, True, rounds, applications, stats=stats)
-        finally:
-            if stats is not None:
-                stats.wall_seconds += clock.perf_counter() - run_start
-                stats.absorb_engine(engine)
-                if matcher is not None:
-                    stats.absorb_matcher(matcher)
-            if matcher is not None:
-                matcher.close()
-    if strategy != "per_trigger":
+    if strategy not in ("semi_naive", "per_trigger"):
         raise ValueError(f"unknown oblivious strategy {strategy!r}")
+    with ChaseRun.open(
+        database,
+        tgds,
+        OBLIVIOUS,
+        resume,
+        workers=workers if strategy == "semi_naive" else 1,
+        parallel_backend=parallel_backend,
+        stats=stats,
+        prune=prune,
+        backend=backend,
+    ) as run:
+        if strategy == "per_trigger":
+            return _per_trigger(run, max_atoms, max_rounds)
+        reason = run.run(budget, max_rounds=max_rounds, max_atoms=max_atoms)
+        if reason is not None and reason not in CEILINGS:
+            run.interrupt(reason)
+        return run.result(terminated=reason is None)
+
+
+def _per_trigger(run: ChaseRun, max_atoms: int, max_rounds: int) -> ChaseResult:
+    """The pre-batching loop: one discovery pass per applied trigger."""
+    engine = run.engine
+    # ``run.rounds`` counts started rounds here, as the round driver's
+    # callers report them: this loop never leaves the engine mid-round.
     while engine.pending:
-        if rounds >= max_rounds or len(engine.instance) > max_atoms:
-            return ObliviousResult(
-                engine.instance, False, rounds, applications, stats=stats
-            )
-        rounds += 1
+        if run.rounds >= max_rounds or len(engine.instance) > max_atoms:
+            return run.result(terminated=False)
+        run.rounds += 1
         for trigger in engine.take_pending():
-            token = engine.apply(trigger)
-            if token.added:
-                applications += 1
+            if engine.apply(trigger).added:
+                run.applications += 1
             if len(engine.instance) > max_atoms:
-                return ObliviousResult(
-                    engine.instance, False, rounds, applications, stats=stats
-                )
-    return ObliviousResult(engine.instance, True, rounds, applications, stats=stats)
+                return run.result(terminated=False)
+    return run.result(terminated=True)
 
 
 def oblivious_chase_terminates(

@@ -285,20 +285,6 @@ class RealObliviousChase:
                 edges.add((gp, node.node_id))
         return edges
 
-    def side_parent_edges(self) -> Set[Tuple[int, int]]:
-        """``≺sp``: parent pairs that are not the guard parent occurrence."""
-        edges: Set[Tuple[int, int]] = set()
-        for node in self.nodes:
-            if node.trigger is None:
-                continue
-            tgd = node.trigger.tgd
-            guard = guard_of(tgd)
-            guard_index = list(tgd.body).index(guard) if guard is not None else -1
-            for body_index, parent in enumerate(node.parents):
-                if body_index != guard_index:
-                    edges.add((parent, node.node_id))
-        return edges
-
     def guard_descendants(self, node_id: int) -> Set[int]:
         """All nodes reachable from ``node_id`` via ``≺gp`` (excl. itself)."""
         children: Dict[int, Set[int]] = {}

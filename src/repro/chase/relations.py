@@ -86,14 +86,6 @@ class AnnotatedAtom:
     def initial(atom: Atom, tag: Hashable = None) -> "AnnotatedAtom":
         return AnnotatedAtom(atom, is_initial=True, tag=tag)
 
-    @staticmethod
-    def from_trigger(trigger: Trigger, tag: Hashable = None) -> "AnnotatedAtom":
-        return AnnotatedAtom(
-            trigger.result(),
-            frontier_terms=frozenset(trigger.result_frontier_terms()),
-            tag=tag,
-        )
-
     def __repr__(self) -> str:
         kind = "db" if self.is_initial else "derived"
         return f"AnnotatedAtom({self.atom}, {kind})"

@@ -43,10 +43,10 @@ from typing import Callable, List, Optional, Sequence, Union
 from repro.core.instance import Instance
 from repro.chase.checkpoint import Budget, ChaseCheckpoint
 from repro.chase.derivation import Derivation
-from repro.chase.engine import ChaseEngine, build_assessor
+from repro.chase.driver import CEILINGS, ChaseResult, ChaseRun
+from repro.chase.engine import ChaseEngine
 from repro.chase.trigger import Trigger, active_triggers_on
-from repro.errors import ChaseInterrupted, SearchBudgetExceeded
-from repro.obs import clock, trace
+from repro.errors import SearchBudgetExceeded
 from repro.tgds.tgd import TGD
 
 StrategyFn = Callable[[List[Trigger], Instance], int]
@@ -56,37 +56,6 @@ StrategyFn = Callable[[List[Trigger], Instance], int]
 #: arbitrary callables) would need their RNG state carried too, which the
 #: checkpoint format deliberately excludes (it is RNG-free).
 RESUMABLE_STRATEGIES = ("fifo", "lifo", "semi_naive")
-
-
-class ChaseResult:
-    """Outcome of a chase run."""
-
-    def __init__(
-        self,
-        instance: Instance,
-        derivation: Derivation,
-        terminated: bool,
-        steps: int,
-        rounds: Optional[int] = None,
-        stats=None,
-    ):
-        #: The final (or cut-off) instance.
-        self.instance = instance
-        #: The recorded derivation.
-        self.derivation = derivation
-        #: True iff a fixpoint was reached (no active trigger remains).
-        self.terminated = terminated
-        #: Number of trigger applications performed.
-        self.steps = steps
-        #: Completed semi-naive rounds (None for step-at-a-time strategies).
-        self.rounds = rounds
-        #: The :class:`repro.obs.stats.ChaseStats` sink the caller passed
-        #: in, echoed back filled (None when the run carried no telemetry).
-        self.stats = stats
-
-    def __repr__(self) -> str:
-        state = "terminated" if self.terminated else "cut off"
-        return f"ChaseResult({state} after {self.steps} steps, {len(self.instance)} atoms)"
 
 
 def _resolve_strategy(
@@ -170,68 +139,36 @@ def restricted_chase(
             f"{RESUMABLE_STRATEGIES}, got {strategy!r}"
         )
     kind = f"restricted:{strategy}"
-    if stats is not None and not stats.kind:
-        stats.kind = kind
     choose = _resolve_strategy(strategy, seed)
-    assessor = build_assessor(tgds) if prune else None
-    if resume is not None:
-        resume.require_kind(kind)
-        engine = resume.restore_engine(
-            tgds, stats=stats, assessor=assessor, backend=backend
-        )
-        derivation = resume.restore_derivation()
-        steps = resume.steps
-    else:
-        engine = ChaseEngine(
-            database, tgds, stats=stats, assessor=assessor, backend=backend
-        )
-        derivation = Derivation(engine.instance)
-        steps = 0
-    if budget is not None:
-        budget.start()
-    run_start = clock.perf_counter() if stats is not None else 0.0
-    try:
-        with trace.span("chase.run", kind=kind):
-            while engine.pending:
-                if steps >= max_steps:
-                    return ChaseResult(
-                        engine.instance,
-                        derivation,
-                        terminated=False,
-                        steps=steps,
-                        stats=stats,
-                    )
-                if budget is not None:
-                    reason = budget.exceeded(len(engine.instance))
-                    if reason is not None:
-                        if stats is not None:
-                            stats.record_cut(reason)
-                        raise ChaseInterrupted(
-                            reason,
-                            checkpoint=ChaseCheckpoint.capture(
-                                engine, kind, derivation=derivation, steps=steps
-                            ),
-                            instance=engine.instance,
-                            partial={"steps": steps},
-                        )
-                index = choose(engine.pending, engine.instance)
-                trigger = engine.pending.pop(index)
-                if not engine.is_active(trigger):
-                    if stats is not None:
-                        stats.triggers_vacuous += 1
-                    continue
-                engine.apply(trigger)
-                derivation.append(trigger)
-                steps += 1
-                if budget is not None:
-                    budget.charge_application()
+    with ChaseRun.open(
+        database, tgds, kind, resume, stats=stats, prune=prune, backend=backend
+    ) as run:
+        engine = run.engine
+        if budget is not None:
+            budget.start()
+        while engine.pending:
+            if run.steps >= max_steps:
+                return ChaseResult(
+                    engine.instance, run.derivation, False, run.steps, stats=stats
+                )
+            if budget is not None:
+                reason = budget.exceeded(len(engine.instance))
+                if reason is not None:
+                    run.interrupt(reason, partial={"steps": run.steps})
+            index = choose(engine.pending, engine.instance)
+            trigger = engine.pending.pop(index)
+            if not engine.is_active(trigger):
+                if stats is not None:
+                    stats.triggers_vacuous += 1
+                continue
+            engine.apply(trigger)
+            run.derivation.append(trigger)
+            run.steps += 1
+            if budget is not None:
+                budget.charge_application()
         return ChaseResult(
-            engine.instance, derivation, terminated=True, steps=steps, stats=stats
+            engine.instance, run.derivation, True, run.steps, stats=stats
         )
-    finally:
-        if stats is not None:
-            stats.wall_seconds += clock.perf_counter() - run_start
-            stats.absorb_engine(engine)
 
 
 def seminaive_chase(
@@ -248,7 +185,8 @@ def seminaive_chase(
 ) -> ChaseResult:
     """The set-at-a-time restricted chase (``strategy="semi_naive"``).
 
-    Round-based semi-naive evaluation on :meth:`ChaseEngine.run_round`:
+    Round-based semi-naive evaluation by the round driver
+    (:class:`repro.chase.driver.ChaseRun`) on :meth:`ChaseEngine.run_round`:
     each round applies every still-active trigger of the pending batch in
     batch order and discovers the next batch with one delta-restricted
     matching pass.  The result — instance, derivation, verdict, step count
@@ -269,90 +207,21 @@ def seminaive_chase(
     continues such a checkpoint byte-identically — same instance insertion
     order, same derivation log, same verdict as the uninterrupted run.
     """
-    matcher = None
-    if workers > 1:
-        from repro.chase.chaos import build_matcher
-
-        matcher = build_matcher(tgds, workers=workers, backend=parallel_backend)
-    if stats is not None and not stats.kind:
-        stats.kind = "semi_naive"
-    assessor = build_assessor(tgds) if prune else None
-    if resume is not None:
-        resume.require_kind("semi_naive")
-        engine = resume.restore_engine(
-            tgds, matcher=matcher, stats=stats, assessor=assessor, backend=backend
-        )
-        derivation = resume.restore_derivation()
-        steps = resume.steps
-        rounds = resume.rounds
-    else:
-        engine = ChaseEngine(
-            database, tgds, matcher=matcher, stats=stats, assessor=assessor,
-            backend=backend,
-        )
-        derivation = Derivation(engine.instance)
-        steps = 0
-        rounds = 0
-    if budget is not None:
-        budget.start()
-
-    def interrupt(reason: str):
-        if stats is not None:
-            stats.record_cut(reason)
-        raise ChaseInterrupted(
-            reason,
-            checkpoint=ChaseCheckpoint.capture(
-                engine, "semi_naive", derivation=derivation, steps=steps, rounds=rounds
-            ),
-            instance=engine.instance,
-            partial={"steps": steps, "rounds": rounds},
-        )
-
-    run_start = clock.perf_counter() if stats is not None else 0.0
-    try:
-        with trace.span("chase.run", kind="semi_naive"):
-            while engine.pending or engine.mid_round():
-                if budget is not None:
-                    if budget.rounds_exhausted():
-                        interrupt("budget:rounds")
-                    reason = budget.exceeded(len(engine.instance))
-                    if reason is not None:
-                        interrupt(reason)
-                round_result = engine.run_round(
-                    max_applications=max_steps - steps, budget=budget
-                )
-                for trigger in round_result.applied:
-                    derivation.append(trigger)
-                steps += len(round_result.applied)
-                if round_result.cut:
-                    if round_result.reason == "max_applications":
-                        return ChaseResult(
-                            engine.instance,
-                            derivation,
-                            terminated=False,
-                            steps=steps,
-                            stats=stats,
-                        )
-                    interrupt(round_result.reason)
-                rounds += 1
-                if budget is not None:
-                    budget.charge_round()
-        return ChaseResult(
-            engine.instance,
-            derivation,
-            terminated=True,
-            steps=steps,
-            rounds=rounds,
-            stats=stats,
-        )
-    finally:
-        if stats is not None:
-            stats.wall_seconds += clock.perf_counter() - run_start
-            stats.absorb_engine(engine)
-            if matcher is not None:
-                stats.absorb_matcher(matcher)
-        if matcher is not None:
-            matcher.close()
+    with ChaseRun.open(
+        database,
+        tgds,
+        "semi_naive",
+        resume,
+        workers=workers,
+        parallel_backend=parallel_backend,
+        stats=stats,
+        prune=prune,
+        backend=backend,
+    ) as run:
+        reason = run.run(budget, max_steps=max_steps)
+        if reason is not None and reason not in CEILINGS:
+            run.interrupt(reason)
+        return run.result(terminated=reason is None)
 
 
 def restricted_chase_naive(

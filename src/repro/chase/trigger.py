@@ -93,10 +93,6 @@ class Trigger:
             object.__setattr__(self, "_canonical", cached)
         return cached
 
-    def frontier_substitution(self) -> Substitution:
-        """``h|fr(σ)``."""
-        return self.h.restrict(self.tgd.frontier)
-
     def frontier_binding(self) -> Dict[Variable, Term]:
         """``h|fr(σ)`` as a plain dict, cached at construction.
 

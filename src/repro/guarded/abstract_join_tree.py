@@ -195,9 +195,6 @@ class AbstractJoinTree:
                             )
         return problems
 
-    def is_valid(self, tgds: Sequence[TGD]) -> bool:
-        return not self.violations(tgds)
-
     # -- Decoding ∆(T) -------------------------------------------------------
 
     def _position_classes(self) -> UnionFind:

@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from repro.core.atoms import Atom
 from repro.core.instance import Instance
 from repro.chase.derivation import Derivation
-from repro.chase.real_oblivious import OChaseNode, RealObliviousChase
+from repro.chase.real_oblivious import OChaseNode
 from repro.chase.relations import stops_atom
 from repro.chase.trigger import Trigger
 from repro.tgds.tgd import TGD
@@ -34,16 +34,12 @@ from repro.util import graphs
 class ChaseGraph:
     """A finite fragment of ``ochase(D, T)``: nodes with parent provenance.
 
-    Built either from a bounded :class:`RealObliviousChase` or from a
-    recorded derivation.  Node ids index ``self.nodes``.
+    Built either from the nodes of a bounded :class:`RealObliviousChase`
+    or from a recorded derivation.  Node ids index ``self.nodes``.
     """
 
     def __init__(self, nodes: Sequence[OChaseNode]):
         self.nodes: List[OChaseNode] = list(nodes)
-
-    @staticmethod
-    def from_real_oblivious(chase: RealObliviousChase) -> "ChaseGraph":
-        return ChaseGraph(chase.nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)

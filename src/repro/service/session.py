@@ -50,6 +50,7 @@ from repro.core.atoms import Atom
 from repro.core.instance import Instance
 from repro.core.parsing import parse_atoms
 from repro.chase.checkpoint import Budget, ChaseCheckpoint
+from repro.chase.driver import OBLIVIOUS, ChaseRun, open_engine
 from repro.chase.engine import ChaseEngine
 from repro.errors import ParseError, ServiceError
 from repro.obs import metrics
@@ -155,6 +156,14 @@ def parse_tgd_payload(value) -> List[TGD]:
         raise ServiceError(f"malformed tgds: {error}") from error
 
 
+def _close_instance(instance) -> None:
+    """Release a disk-backed instance's connections (and a session-private
+    temp file) promptly rather than at GC time."""
+    instance_close = getattr(instance, "close", None)
+    if instance_close is not None:
+        instance_close()
+
+
 class ChaseSession:
     """One client's chased instance, held warm between requests."""
 
@@ -178,34 +187,37 @@ class ChaseSession:
         self.max_rounds = max_rounds
         #: The resolved storage backend of this session's instance.
         self.backend = BackendSpec.parse(backend)
-        self._matcher = None
-        if workers > 1:
-            from repro.chase.chaos import build_matcher
-
-            self._matcher = build_matcher(
-                self.tgds, workers=workers, backend=parallel_backend
-            )
-        # Unpruned, witness-free: the oblivious closure (see module
-        # docstring for why sessions must serve the confluent semantics).
-        self.engine = ChaseEngine(
-            Instance(base_facts),
-            self.tgds,
-            track_witnesses=False,
-            matcher=self._matcher,
-            backend=self.backend,
+        # The round driver's run on an unpruned, witness-free engine: the
+        # oblivious closure (see module docstring for why sessions must
+        # serve the confluent semantics).  Its counters are the session's
+        # ``rounds``/``applications``.
+        engine = open_engine(
+            Instance(base_facts), self.tgds, OBLIVIOUS, workers=workers,
+            parallel_backend=parallel_backend, backend=self.backend,
         )
-        #: Completed saturation rounds / atom-producing applications, the
-        #: same accounting ``oblivious_chase`` reports.
-        self.rounds = 0
-        self.applications = 0
+        self._run = ChaseRun(engine, OBLIVIOUS)
         #: Facts accepted over the session's lifetime (posted + base).
         self.facts_accepted = len(self.engine.instance)
         #: Requests served (the create counts as the first increment).
         self.increments = 0
-        #: The cut reason of a suspended saturation (None at a fixpoint).
+        #: The cut reason of the last saturation (None at a fixpoint, and
+        #: after a restore, which does not carry it).
         self.suspended_reason: Optional[str] = None
         self.closed = False
         self.lock = threading.Lock()
+
+    @property
+    def engine(self) -> ChaseEngine:
+        return self._run.engine
+
+    @property
+    def rounds(self) -> int:
+        """Started saturation rounds, as ``oblivious_chase`` reports them."""
+        return self._run.started_rounds
+
+    @property
+    def applications(self) -> int:
+        return self._run.applications
 
     # -- restore ------------------------------------------------------------
 
@@ -226,43 +238,33 @@ class ChaseSession:
         Checkpoints are backend-portable, so ``backend`` may differ from
         the backend the checkpointed session ran on.
         """
-        checkpoint.require_kind("oblivious")
-        session = cls.__new__(cls)
-        session.session_id = session_id
-        session.tgds = tuple(tgds)
-        session.digest = tgd_set_digest(session.tgds)
-        session.workers = workers
-        session.max_atoms = max_atoms
-        session.max_rounds = max_rounds
-        session.backend = BackendSpec.parse(backend)
-        session._matcher = None
-        if workers > 1:
-            from repro.chase.chaos import build_matcher
-
-            session._matcher = build_matcher(
-                session.tgds, workers=workers, backend=parallel_backend
-            )
-        session.engine = checkpoint.restore_engine(
-            session.tgds, matcher=session._matcher, backend=session.backend
+        checkpoint.require_kind(OBLIVIOUS)
+        session = cls(
+            session_id,
+            tgds,
+            (),
+            workers=workers,
+            parallel_backend=parallel_backend,
+            max_atoms=max_atoms,
+            max_rounds=max_rounds,
+            backend=backend,
         )
-        session.rounds = checkpoint.rounds
-        session.applications = checkpoint.applications
-        session.facts_accepted = 0
-        session.increments = 0
-        session.suspended_reason = None
-        session.closed = False
-        session.lock = threading.Lock()
+        seed = session.engine
+        try:
+            engine = checkpoint.restore_engine(
+                session.tgds, matcher=seed.matcher, backend=session.backend
+            )
+        except BaseException:
+            session.close()
+            raise
+        _close_instance(seed.instance)
+        session._run = ChaseRun(engine, OBLIVIOUS, checkpoint)
         return session
 
     def checkpoint(self) -> ChaseCheckpoint:
         """The session's persistence snapshot (mid-round suspensions included)."""
         with self.lock:
-            return ChaseCheckpoint.capture(
-                self.engine,
-                "oblivious",
-                rounds=self.rounds,
-                applications=self.applications,
-            )
+            return self._run.checkpoint()
 
     # -- the increment loop --------------------------------------------------
 
@@ -308,42 +310,15 @@ class ChaseSession:
     def _saturate(self, budget: Optional[Budget]) -> Optional[str]:
         """Run rounds to the fixpoint or the first cut (lock held).
 
-        Mirrors the semi-naive ``oblivious_chase`` loop on the held engine;
-        a cut leaves the engine suspended in place (delta live, tail
-        re-queued) instead of raising, so the session continues on the next
-        request.  Returns the cut reason, or None at a fixpoint.
+        The round driver's session cut policy: a cut leaves the engine
+        suspended in place (delta live, tail re-queued) instead of raising,
+        so the session continues on the next request.  Returns the cut
+        reason, or None at a fixpoint.
         """
-        engine = self.engine
-        if budget is not None:
-            budget.start()
-        while engine.pending or engine.mid_round():
-            if self.rounds >= self.max_rounds:
-                self.suspended_reason = "max_rounds"
-                return "max_rounds"
-            if len(engine.instance) > self.max_atoms:
-                self.suspended_reason = "max_atoms"
-                return "max_atoms"
-            if budget is not None:
-                if budget.rounds_exhausted():
-                    self.suspended_reason = "budget:rounds"
-                    return "budget:rounds"
-                reason = budget.exceeded(len(engine.instance))
-                if reason is not None:
-                    self.suspended_reason = reason
-                    return reason
-            if not engine.mid_round():
-                # A resumed mid-round continuation was already counted by
-                # the request that started the round.
-                self.rounds += 1
-            result = engine.run_round(max_atoms=self.max_atoms, budget=budget)
-            self.applications += len(result.delta)
-            if result.cut:
-                self.suspended_reason = result.reason
-                return result.reason
-            if budget is not None:
-                budget.charge_round()
-        self.suspended_reason = None
-        return None
+        self.suspended_reason = self._run.run(
+            budget, max_rounds=self.max_rounds, max_atoms=self.max_atoms
+        )
+        return self.suspended_reason
 
     # -- views ---------------------------------------------------------------
 
@@ -369,21 +344,17 @@ class ChaseSession:
                 "increments": self.increments,
                 "workers": self.workers,
                 "backend": self.backend.describe(),
-                "suspended": self.suspended_reason is not None,
+                # Derived from the engine, so a restored session knows it too.
+                "suspended": bool(self.engine.pending) or self.engine.mid_round(),
                 "suspended_reason": self.suspended_reason,
             }
 
     def close(self) -> None:
         with self.lock:
             self.closed = True
-            if self._matcher is not None:
-                self._matcher.close()
-                self._matcher = None
-            # Disk-backed instances release their connections (and a
-            # session-private temp file) promptly rather than at GC time.
-            instance_close = getattr(self.engine.instance, "close", None)
-            if instance_close is not None:
-                instance_close()
+            if self.engine.matcher is not None:
+                self.engine.matcher.close()
+            _close_instance(self.engine.instance)
 
     def __repr__(self) -> str:
         return (

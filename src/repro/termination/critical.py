@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from repro.core.atoms import Atom
 from repro.core.instance import Database
 from repro.core.terms import Constant
-from repro.chase.oblivious import ObliviousResult, oblivious_chase
+from repro.chase.oblivious import oblivious_chase
 from repro.termination.verdict import Status, Verdict
 from repro.tgds.tgd import TGD, schema_of
 

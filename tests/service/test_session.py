@@ -199,9 +199,14 @@ class TestCheckpointRoundTrip:
         tgds = parse_tgds(["R(x,y) -> R(y,z)"])
         session = ChaseSession("s", tgds, [])
         session.post_facts(parse_atoms("R(a,b)", data=True), budget=Budget(max_rounds=2))
+        assert session.info()["suspended"]
         restored = ChaseSession.from_checkpoint(
             "s2", tgds, pickle.loads(pickle.dumps(session.checkpoint()))
         )
+        # The suspension survives the round trip (the pending trigger is
+        # restored with the engine); only the cut reason does not.
+        assert restored.info()["suspended"]
+        assert restored.info()["suspended_reason"] is None
         a = session.post_facts([], budget=Budget(max_rounds=2))
         b = restored.post_facts([], budget=Budget(max_rounds=2))
         assert [repr(x) for x in a["derived"]] == [repr(x) for x in b["derived"]]
